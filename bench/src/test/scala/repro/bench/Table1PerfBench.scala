@@ -12,8 +12,8 @@ import repro.events.EventStore
   * equivalent SQL (paper: Figure 4 + text; AIQL total 3.6 min vs PostgreSQL
   * 77 min, 21x speedup over 19 multievent + 1 anomaly queries).
   *
-  * Scale: REPRO_SF (default 0.3 ≈ 1.5M background events over 3 days,
-  * 45 hosts) vs the paper's 257M events. Absolute times are not comparable;
+  * Scale: REPRO_SF (default 2.0 ≈ 10M background events over 3 days,
+  * 150 hosts) vs the paper's 257M events. Absolute times are not comparable;
   * the shape — AIQL wins on every query, order-of-magnitude total speedup —
   * is the reproduction target.
   */

@@ -2,12 +2,11 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.attack.{AttackDataGen, InvestigationQueries}
-import repro.baseline.NaiveSqlBaseline
 import repro.core._
-import repro.events.EventStore
 
-/** Shared helpers for the spark-submit entrypoints. */
+/** Shared helpers for the spark-submit entrypoints. The evaluation tables
+  * (T1–T3) have one runner each, under `bench/`.
+  */
 object JobEnv {
   def session(name: String): SparkSession =
     SparkSession.builder
@@ -17,66 +16,10 @@ object JobEnv {
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .getOrCreate()
 
-  def sf(args: Array[String]): Double =
-    args.headOption.map(_.toDouble)
-      .getOrElse(sys.env.getOrElse("REPRO_SF", "2.0").toDouble)
-
   def timed[A](f: => A): (A, Long) = {
     val t0 = System.nanoTime()
     val a = f
     (a, (System.nanoTime() - t0) / 1000000)
-  }
-}
-
-/** T1: per-query execution time, AIQL engine vs equivalent SQL.
-  * `spark-submit --class repro.jobs.Table1Job ... [sf]`
-  */
-object Table1Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobEnv.session("aiql-table1")
-    val sf = JobEnv.sf(args)
-    val dir = java.nio.file.Files.createTempDirectory("aiql-bench").toString
-    val events = AttackDataGen.events(spark, sf)
-    EventStore.write(events, s"$dir/store")
-    EventStore.writeFlat(events, s"$dir/flat")
-    val flat = EventStore.readFlat(spark, s"$dir/flat")
-    val aiql = new Aiql(spark, StorePath(s"$dir/store"))
-    val baseline = new NaiveSqlBaseline(spark, flat)
-
-    // warm-up both paths once
-    aiql.query(InvestigationQueries.byName("q01").aiql).collect()
-    baseline.execute(InvestigationQueries.byName("q01").aiql).collect()
-
-    println(f"${"query"}%-6s${"rows"}%8s${"aiql_ms"}%10s${"sql_ms"}%10s${"speedup"}%9s")
-    var aiqlTotal = 0L; var sqlTotal = 0L
-    for (q <- InvestigationQueries.all) {
-      val (r1, tA) = JobEnv.timed(aiql.query(q.aiql).collect())
-      val (r2, tS) = JobEnv.timed(baseline.execute(q.aiql).collect())
-      require(r1.length == r2.length, s"${q.name}: result mismatch")
-      aiqlTotal += tA; sqlTotal += tS
-      println(f"${q.name}%-6s${r1.length}%8d$tA%10d$tS%10d${tS.toDouble / tA}%9.1f")
-    }
-    println(f"${"total"}%-6s${""}%8s$aiqlTotal%10d$sqlTotal%10d${sqlTotal.toDouble / aiqlTotal}%9.1f")
-    spark.stop()
-  }
-}
-
-/** T2: query conciseness (constraints / words / chars), AIQL vs SQL. */
-object Table2Job {
-  def main(args: Array[String]): Unit = {
-    println(f"${"query"}%-6s${"aiql_c"}%8s${"sql_c"}%8s${"aiql_w"}%8s${"sql_w"}%8s${"aiql_ch"}%9s${"sql_ch"}%9s")
-    var a = Conciseness.Metrics(0, 0, 0); var s = Conciseness.Metrics(0, 0, 0)
-    for (q <- InvestigationQueries.all) {
-      val parsed = Parser.parse(q.aiql)
-      val am = Conciseness.ofAiql(q.aiql, parsed)
-      val sm = Conciseness.ofSql(SqlSynthesizer.forQuery(parsed, SqlSynthesizer.Spark))
-      a = Conciseness.Metrics(a.constraints + am.constraints, a.words + am.words, a.chars + am.chars)
-      s = Conciseness.Metrics(s.constraints + sm.constraints, s.words + sm.words, s.chars + sm.chars)
-      println(f"${q.name}%-6s${am.constraints}%8d${sm.constraints}%8d${am.words}%8d${sm.words}%8d${am.chars}%9d${sm.chars}%9d")
-    }
-    println(f"${"total"}%-6s${a.constraints}%8d${s.constraints}%8d${a.words}%8d${s.words}%8d${a.chars}%9d${s.chars}%9d")
-    println(f"ratios: constraints ${s.constraints.toDouble / a.constraints}%.1fx  " +
-      f"words ${s.words.toDouble / a.words}%.1fx  chars ${s.chars.toDouble / a.chars}%.1fx")
   }
 }
 

@@ -5,7 +5,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import Ast._
 
 /** Facade of the AIQL system (Figure 1): parse an AIQL query, route it to
-  * the right engine, and return the matched results as a DataFrame.
+  * the right engine, and return the matched results as a DataFrame. Both
+  * engines read through one [[BaseLoader]], so they share its host pins.
   */
 final class Aiql(
     spark: SparkSession,
@@ -13,8 +14,9 @@ final class Aiql(
     conf: AiqlConf = AiqlConf(),
 ) {
 
-  private val multi = new MultiEventEngine(spark, source, conf)
-  private val anomaly = new AnomalyEngine(spark, source, conf)
+  private val loader = new BaseLoader(spark, source, conf)
+  private val multi = new MultiEventEngine(loader, conf)
+  private val anomaly = new AnomalyEngine(loader)
 
   /** Parse + execute an AIQL query text. */
   def query(text: String): DataFrame = execute(Parser.parse(text))
@@ -26,6 +28,6 @@ final class Aiql(
     case a: AnomalyQuery    => anomaly.execute(a)
   }
 
-  /** Release the engines' hot-partition caches. */
-  def close(): Unit = { multi.close(); anomaly.close() }
+  /** Release the engines' relevant-set caches and the loader's pins. */
+  def close(): Unit = { multi.close(); loader.close() }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 import Ast._
@@ -20,11 +20,7 @@ import Ast._
   * Output: one row per surviving (window, group), with a leading `win`
   * column (window index) followed by the `return` items.
   */
-final class AnomalyEngine(
-    spark: SparkSession,
-    source: EventSource,
-    conf: AiqlConf = AiqlConf(),
-) {
+final class AnomalyEngine(loader: BaseLoader) {
 
   import MultiEventEngine.{defaultAlias, SemanticError}
 
@@ -34,7 +30,7 @@ final class AnomalyEngine(
     val (t0, t1) = Times.window(q.globals).getOrElse(
       throw SemanticError("anomaly query requires a global time window"))
 
-    val base = baseEvents(q.globals).filter(PatternCompiler.compile(q.event))
+    val base = loader.baseEvents(q.globals).filter(PatternCompiler.compile(q.event))
 
     // explode each event into all windows covering its timestamp
     val nWin = ((t1 - t0 + q.stepMs - 1) / q.stepMs).toInt
@@ -117,10 +113,4 @@ final class AnomalyEngine(
     case Agg(_, a)      => collectHists(a)
     case _              => Seq.empty
   }
-
-  private val loader = new BaseLoader(spark, source, conf)
-  private def baseEvents(globals: Seq[Global]): DataFrame = loader.baseEvents(globals)
-
-  /** Release the hot-partition cache (see [[BaseLoader]]). */
-  def close(): Unit = loader.close()
 }

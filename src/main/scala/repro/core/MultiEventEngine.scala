@@ -1,15 +1,10 @@
 package repro.core
 
-import java.util.concurrent.Executors
-
-import scala.concurrent.duration.Duration
-import scala.concurrent.{Await, ExecutionContext, Future}
-
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 import Ast._
-import repro.events.{EventSchema, EventStore}
+import repro.events.EventSchema
 
 /** Engine configuration — each flag is one of the paper's domain-specific
   * optimizations, individually toggleable for the ablation bench (T3).
@@ -23,18 +18,12 @@ import repro.events.{EventSchema, EventStore}
   *                            derived from `before`/`after` chains
   * @param partitionPruning    prune `(agent_id, day)` store partitions from
   *                            the global constraints
-  * @param spatialParallelism  split a multi-agent query into per-agent
-  *                            sub-queries executed in parallel (§2.3
-  *                            insight 2), when entity sharing keeps all
-  *                            events host-local
   */
 final case class AiqlConf(
     selectivityOrdering: Boolean = true,
     exactSelectivity: Boolean = true,
     timeBoundPushdown: Boolean = true,
     partitionPruning: Boolean = true,
-    spatialParallelism: Boolean = true,
-    parallelism: Int = 8,
     /** Dynamic ts-bound tightening costs one small aggregation job; it only
       * pays off when the pattern it would prune is large. The engine applies
       * it when the pattern's measured count exceeds this threshold — a
@@ -50,89 +39,24 @@ final case class AiqlConf(
     broadcastThreshold: Long = 200000,
 )
 
-/** Where the engine reads events from. */
-sealed trait EventSource
-/** The partitioned Parquet store ([[EventStore]]) — enables pruning. */
-final case class StorePath(path: String) extends EventSource
-/** An in-memory frame (tests). */
-final case class InMemory(df: DataFrame) extends EventSource
-
-/** Loads the base events for a query's global constraints, with partition
-  * pruning and a hot-partition cache: the paper's store keeps the
-  * partitions under investigation in memory (in-memory indexes /
-  * hypertable); here the pruned base of each (agents, days) footprint is
-  * cached on first use and reused by the statistics pass, every pattern
-  * scan, and later queries over the same footprint. Release with [[close]].
-  */
-private[repro] final class BaseLoader(
-    spark: SparkSession, source: EventSource, conf: AiqlConf) {
-
-  private val cache = scala.collection.concurrent.TrieMap[
-    (Option[Seq[Int]], Option[Seq[String]]), (DataFrame, Long)]()
-
-  /** Unpersist every partition this loader pinned in memory. */
-  def close(): Unit = {
-    cache.values.foreach(_._1.unpersist())
-    cache.clear()
-  }
-
-  def baseEvents(globals: Seq[Ast.Global]): DataFrame =
-    baseEventsWithSize(globals)._1
-
-  /** Base events for the globals plus, when known, the footprint's row
-    * count. The residual global predicate is always applied on top of the
-    * (possibly partition-pruned) scan. Only agent-bound footprints are
-    * pinned and counted — they are small, and their size is the engine's
-    * cheapest statistic (one count per footprint, amortized over every
-    * query investigating that host); a day-wide footprint is left to the
-    * vectorized Parquet scan, which outruns Spark's in-memory cache format
-    * on wide rows.
-    */
-  def baseEventsWithSize(globals: Seq[Ast.Global]): (DataFrame, Option[Long]) = {
-    val (df, rows) = source match {
-      case InMemory(d) => (d, None)
-      case StorePath(p) =>
-        val agents = if (conf.partitionPruning) Times.agents(globals) else None
-        val days =
-          if (conf.partitionPruning)
-            Times.window(globals).map { case (s, t) => Times.daysOf(s, t) }
-          else None
-        if (agents.isEmpty) (EventStore.readPruned(spark, p, agents, days), None)
-        else {
-          val (cached, n) = cache.getOrElseUpdate((agents, days), {
-            val c = EventStore.readPruned(spark, p, agents, days).cache()
-            (c, c.count())
-          })
-          (cached, Some(n))
-        }
-    }
-    (df.filter(PatternCompiler.globalPred(globals)), rows)
-  }
-}
-
 /** Executes multievent AIQL queries with the paper's optimized scheduling:
-  * one data query per event pattern, most-selective-first staged joins,
-  * dynamic time-bound tightening, and spatial query partitioning — instead
-  * of handing one big multi-join SQL to the default scheduler.
+  * one data query per event pattern, most-selective-first staged joins and
+  * dynamic time-bound tightening — instead of handing one big multi-join SQL
+  * to the default scheduler. Spatial (per-host) parallelism is Spark's own:
+  * a multi-host query is one plan over the union of per-host pins (see
+  * [[BaseLoader]]), scanned one task per partition.
   *
   * Result columns follow the `return` clause (shortcut aliases applied), so
   * results are directly comparable with the synthesized equivalent SQL.
   */
-final class MultiEventEngine(
-    spark: SparkSession,
-    source: EventSource,
-    conf: AiqlConf = AiqlConf(),
-) {
+final class MultiEventEngine(loader: BaseLoader, conf: AiqlConf) {
 
   import MultiEventEngine._
 
   /** Run a multievent query and return the projected matches. */
   def execute(q: MultiEventQuery): DataFrame = {
     validate(q)
-    val agents = Times.agents(q.globals)
-    val partitionable = agents.exists(_.size > 1) && spatiallyPartitionable(q)
-    if (conf.spatialParallelism && partitionable) executeParallel(q, agents.get)
-    else executeSingle(q)
+    executeSingle(q)
   }
 
   // ------------------------------------------------------------ validation
@@ -153,33 +77,7 @@ final class MultiEventEngine(
         throw SemanticError(s"temporal relation references undeclared event '$side'")
   }
 
-  /** Per-agent partitioning is sound iff every match binds all events to one
-    * host: the event graph with edges for shared *host-local* entity
-    * variables must be connected (an `ip` variable does not pin events to a
-    * host — that is what lets dependency queries cross hosts).
-    */
-  private[core] def spatiallyPartitionable(q: MultiEventQuery): Boolean = {
-    val n = q.events.size
-    if (n <= 1) return true
-    val varKind = q.events.flatMap(Ast.entityOccurrences(_).map(o => o._1 -> o._2)).toMap
-    val adj = Array.fill(n)(scala.collection.mutable.Set[Int]())
-    for (i <- 0 until n; j <- (i + 1) until n) {
-      val shared = (q.events(i).subj.name :: q.events(i).obj.name :: Nil).intersect(
-                    q.events(j).subj.name :: q.events(j).obj.name :: Nil)
-      if (shared.exists(v => Attrs.isHostLocal(varKind(v)))) { adj(i) += j; adj(j) += i }
-    }
-    val seen = scala.collection.mutable.Set(0)
-    val stack = scala.collection.mutable.Stack(0)
-    while (stack.nonEmpty) {
-      for (nb <- adj(stack.pop()) if !seen(nb)) { seen += nb; stack.push(nb) }
-    }
-    seen.size == n
-  }
-
-  // --------------------------------------------------------------- source
-
-  private val loader = new BaseLoader(spark, source, conf)
-  private def baseEvents(globals: Seq[Global]): DataFrame = loader.baseEvents(globals)
+  // --------------------------------------------------------------- caches
 
   /** Per-query relevant-set caches, rotated so at most a handful stay
     * pinned (a result DataFrame may be collected after the next query has
@@ -194,37 +92,14 @@ final class MultiEventEngine(
     df
   }
 
-  /** Release the hot-partition and relevant-set caches. */
+  /** Release the relevant-set caches (the loader's pins are its owner's). */
   def close(): Unit = {
-    loader.close()
     relevantCaches.synchronized {
       while (!relevantCaches.isEmpty) relevantCaches.pollFirst().unpersist()
     }
   }
 
   // ------------------------------------------------------------ execution
-
-  /** §2.3 insight 2: independent per-agent sub-queries, materialized in
-    * parallel (concurrent Spark actions), results unioned.
-    */
-  private def executeParallel(q: MultiEventQuery, agents: Seq[Int]): DataFrame = {
-    val pool = Executors.newFixedThreadPool(math.max(1, math.min(conf.parallelism, agents.size)))
-    implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
-    try {
-      val subs = agents.map { a =>
-        Future {
-          val sub = q.copy(globals =
-            q.globals.filterNot(_.isInstanceOf[AgentIn]) :+ AgentIn(Seq(a)))
-          val df = executeSingle(sub)
-          (df.schema, df.collect())
-        }
-      }
-      val parts = Await.result(Future.sequence(subs), Duration.Inf)
-      val schema = parts.head._1
-      val rows: java.util.List[Row] = java.util.Arrays.asList(parts.flatMap(_._2): _*)
-      spark.createDataFrame(rows, schema)
-    } finally pool.shutdown()
-  }
 
   /** Scan-time ts bounds (exclusive low / high) for one pattern, or None
     * when the bound state is already known empty.

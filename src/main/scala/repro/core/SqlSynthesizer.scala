@@ -13,7 +13,7 @@ import repro.events.EventSchema
   * Dialects:
   *  - [[SqlSynthesizer.Spark]]: typed `events` view, executed via
   *    `spark.sql` by [[repro.baseline.NaiveSqlBaseline]];
-  *  - [[SqlSynthesizer.DuckDb]]: the [[repro.Oracle]] stores all columns as
+  *  - [[SqlSynthesizer.DuckDb]]: the DuckDB oracle (`repro.Oracle`, test scope) stores all columns as
   *    VARCHAR, so numeric columns are CAST before comparison.
   *
   * The synthesizer also counts the atomic constraints it emits, feeding the

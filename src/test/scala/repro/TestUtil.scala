@@ -1,6 +1,10 @@
 package repro
 
-import org.apache.spark.sql.{DataFrame, Row}
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 
 /** Shared assertion helpers for comparing DataFrames across execution paths
   * (optimized engine vs naive SQL baseline) with Oracle-style
@@ -46,5 +50,34 @@ object TestUtil {
     df.collect().exists { r: Row =>
       expect.forall { case (k, v) => Option(r.get(idx(k))).map(_.toString).contains(v) }
     }
+  }
+
+  /** Number of Spark jobs `f` starts. Listener events arrive asynchronously,
+    * so a marker job (whose start event follows every earlier one) closes
+    * the count.
+    */
+  def sparkJobs(spark: SparkSession)(f: => Unit): Int = {
+    val sc = spark.sparkContext
+    val group = s"counted:${System.nanoTime()}"
+    val marker = s"$group:end"
+    val jobs = new AtomicInteger
+    val done = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")) match {
+          case Some(`group`)  => jobs.incrementAndGet()
+          case Some(`marker`) => done.countDown()
+          case _              =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "counted")
+      try f finally sc.clearJobGroup()
+      sc.setJobGroup(marker, "listener barrier")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      require(done.await(60, TimeUnit.SECONDS), "listener bus did not drain")
+      jobs.get
+    } finally sc.removeSparkListener(listener)
   }
 }

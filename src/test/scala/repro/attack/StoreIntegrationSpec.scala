@@ -23,7 +23,7 @@ class StoreIntegrationSpec extends SparkSpec {
     new Aiql(spark, StorePath(storeDir), conf)
   private lazy val memAiql = new Aiql(spark, InMemory(events))
 
-  for (name <- Seq("q01", "q04", "q08", "q10", "q20")) {
+  for (name <- Seq("q01", "q04", "q08", "q10", "q19", "q20")) {
     test(s"$name store-backed execution equals in-memory execution") {
       val q = InvestigationQueries.byName(name)
       TestUtil.assertSameRows(storeAiql().query(q.aiql), memAiql.query(q.aiql), name)
@@ -48,6 +48,36 @@ class StoreIntegrationSpec extends SparkSpec {
     assert(pruned.inputFiles.length * 4 < onDisk,
       s"pruned=${pruned.inputFiles.length} onDisk=$onDisk")
     assert(pruned.inputFiles.forall(f => f.contains("agent_id=4") && f.contains("day=2023-08-01")))
+  }
+
+  // q19 rebound to one host: a single-pattern query, so the only cache it
+  // can add is its host pin (multi-pattern queries also pin a relevant set)
+  private val q19 = InvestigationQueries.byName("q19").aiql
+  private def onHosts(agents: String) = q19.replace("agentid in (1, 2, 3, 4)", s"agentid $agents")
+  private def persisted = spark.sparkContext.getPersistentRDDs.size
+
+  test("a multi-host query reuses the single-host pins") {
+    val aiql = storeAiql()
+    try {
+      val perHost = (1 to 4).map(a => aiql.query(onHosts(s"= $a")))
+      perHost.foreach(_.collect())
+      val pinned = persisted
+      val all = onHosts("in (1, 2, 3, 4)")
+      assert(TestUtil.sparkJobs(spark)(aiql.query(all).collect()) == 1)
+      assert(persisted == pinned)
+      TestUtil.assertSameRows(aiql.query(all), perHost.reduce(_ union _), "union of hosts")
+    } finally aiql.close()
+  }
+
+  test("multievent and anomaly queries share one loader's pins") {
+    val aiql = storeAiql()
+    try {
+      aiql.query(InvestigationQueries.byName("q20").aiql).collect() // pins agent 4
+      val pinned = persisted
+      // no second count of agent 4: the multievent engine reuses the pin
+      assert(TestUtil.sparkJobs(spark)(aiql.query(onHosts("= 4")).collect()) == 1)
+      assert(persisted == pinned)
+    } finally aiql.close()
   }
 
   test("store dedup keeps the attack trace intact") {
