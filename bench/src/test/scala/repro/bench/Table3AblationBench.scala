@@ -2,15 +2,17 @@ package repro.bench
 
 import java.nio.file.Files
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestUtil}
 import repro.attack.{AttackDataGen, InvestigationQueries}
+import repro.baseline.NaiveSqlBaseline
 import repro.core._
 import repro.events.EventStore
 
 /** T3 (supplemental) — ablation of the engine's domain-specific
-  * optimizations (§2.3): pruning-power scheduling, dynamic time-bound
-  * tightening, partition pruning, broadcast probing. The paper claims
-  * these as the source of its speedup; this bench isolates each.
+  * optimizations (§2.3): pruning-power scheduling, partition pruning,
+  * broadcast probing. The paper claims these as the source of its speedup;
+  * this bench isolates each. Every arm's rows are checked against the naive
+  * SQL baseline, so no arm shares a cache with the reference.
   */
 class Table3AblationBench extends SparkSpec {
 
@@ -20,12 +22,10 @@ class Table3AblationBench extends SparkSpec {
     "full" -> AiqlConf(),
     "-selectivity" -> AiqlConf(selectivityOrdering = false),
     "-exactstats" -> AiqlConf(exactSelectivity = false),
-    "-pushdown" -> AiqlConf(timeBoundPushdown = false),
     "-pruning" -> AiqlConf(partitionPruning = false),
     "-broadcast" -> AiqlConf(broadcastThreshold = -1),
     "none" -> AiqlConf(selectivityOrdering = false, exactSelectivity = false,
-                       timeBoundPushdown = false, partitionPruning = false,
-                       broadcastThreshold = -1),
+                       partitionPruning = false, broadcastThreshold = -1),
   )
 
   private val queries = Seq("q04", "q08", "q16", "q19")
@@ -37,8 +37,9 @@ class Table3AblationBench extends SparkSpec {
   test("Table 3: per-optimization ablation on representative queries") {
     val dir = Files.createTempDirectory("aiql-t3").toString
     EventStore.write(AttackDataGen.events(spark, sf), s"$dir/store")
-    val full = new Aiql(spark, StorePath(s"$dir/store"))
-    val expected = queries.map(n => n -> full.query(InvestigationQueries.byName(n).aiql).count()).toMap
+    val baseline = new NaiveSqlBaseline(spark, EventStore.read(spark, s"$dir/store"))
+    val expected = queries.map(n =>
+      n -> TestUtil.canon(baseline.execute(InvestigationQueries.byName(n).aiql))).toMap
 
     println(s"=== Table 3 (engine ablation, sf=$sf) ===")
     println(f"${"config"}%-14s${queries.map(q => f"$q%10s").mkString}${"total_ms"}%10s")
@@ -48,14 +49,14 @@ class Table3AblationBench extends SparkSpec {
       aiql.query(InvestigationQueries.byName(queries.head).aiql).collect()
       var total = 0L
       val cells = queries.map { qn =>
-        val (rows, ms) = timed(aiql.query(InvestigationQueries.byName(qn).aiql).collect())
-        assert(rows.length.toLong == expected(qn), s"$name/$qn changed results")
+        val df = aiql.query(InvestigationQueries.byName(qn).aiql)
+        val (_, ms) = timed(df.collect())
+        assert(TestUtil.canon(df) == expected(qn), s"$name/$qn changed results")
         total += ms
         f"$ms%10d"
       }
       println(f"$name%-14s${cells.mkString}$total%10d")
       aiql.close() // drop this config's hot-partition cache before the next arm
     }
-    full.close()
   }
 }

@@ -1,9 +1,7 @@
 package repro.core
 
-import java.time.format.DateTimeFormatter
+import java.time.format.{DateTimeFormatter, ResolverStyle}
 import java.time.{LocalDate, LocalDateTime, ZoneOffset}
-
-import repro.events.EventSchema
 
 /** Attribute model: maps AIQL entity/event attribute names onto columns of
   * the flat event schema, implementing the paper's syntax shortcuts
@@ -62,9 +60,6 @@ object Attrs {
     case other => throw ResolveError(s"unknown entity kind '$other'")
   }
 
-  /** The default attribute shortcut for a bare variable in `return`. */
-  def defaultAttr(kind: String, role: String): String = entityAttr(kind, role, "")
-
   /** Identity column(s) used to join the same entity variable across events. */
   def joinKey(kind: String, role: String): String = kind match {
     case "proc" => if (role == "subj") "subj_pid" else "obj_pid"
@@ -79,20 +74,22 @@ object Attrs {
     * what lets dependency queries follow a `connect` across hosts.
     */
   def isHostLocal(kind: String): Boolean = kind != "ip"
-
-  def isNumericColumn(col: String): Boolean = EventSchema.numericColumns.contains(col)
 }
 
 /** Time-window parsing for global clauses. Dates use the paper's
-  * `mm/dd/yyyy` form, optionally with `HH:mm:ss`; all UTC.
+  * `mm/dd/yyyy` form, optionally with `HH:mm:ss`; all UTC. Parsing is
+  * strict: an impossible date such as `02/30/2023` is rejected, not clamped.
   */
 object Times {
-  private val dateFmt = DateTimeFormatter.ofPattern("MM/dd/yyyy")
-  private val dateTimeFmt = DateTimeFormatter.ofPattern("MM/dd/yyyy HH:mm:ss")
+  private val dateFmt =
+    DateTimeFormatter.ofPattern("MM/dd/uuuu").withResolverStyle(ResolverStyle.STRICT)
+  private val dateTimeFmt =
+    DateTimeFormatter.ofPattern("MM/dd/uuuu HH:mm:ss").withResolverStyle(ResolverStyle.STRICT)
 
-  final case class TimeParseError(msg: String) extends RuntimeException(msg)
-
-  /** Parse a global time literal to epoch millis (UTC). */
+  /** Parse a global time literal to epoch millis (UTC); throws
+    * `DateTimeParseException` on a malformed literal ([[Parser]] reports
+    * that as a `ParseError`).
+    */
   def parseMs(s: String): Long = {
     val t = s.trim
     if (t.contains(":"))

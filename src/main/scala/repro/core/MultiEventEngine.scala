@@ -14,22 +14,13 @@ import repro.events.EventSchema
   * @param exactSelectivity    measure pruning power by counting each
   *                            pattern's (cached) filtered scan; otherwise a
   *                            static heuristic over the predicate shape
-  * @param timeBoundPushdown   tighten later scans with dynamic ts bounds
-  *                            derived from `before`/`after` chains
   * @param partitionPruning    prune `(agent_id, day)` store partitions from
   *                            the global constraints
   */
 final case class AiqlConf(
     selectivityOrdering: Boolean = true,
     exactSelectivity: Boolean = true,
-    timeBoundPushdown: Boolean = true,
     partitionPruning: Boolean = true,
-    /** Dynamic ts-bound tightening costs one small aggregation job; it only
-      * pays off when the pattern it would prune is large. The engine applies
-      * it when the pattern's measured count exceeds this threshold — a
-      * stats-informed scheduling decision like the paper's.
-      */
-    pushdownThreshold: Long = 100000,
     /** The paper's engine materializes small per-pattern results and probes
       * them instead of shuffling; the Spark analog is a broadcast-hash join.
       * Pattern frames whose measured count is at or below this threshold are
@@ -40,11 +31,12 @@ final case class AiqlConf(
 )
 
 /** Executes multievent AIQL queries with the paper's optimized scheduling:
-  * one data query per event pattern, most-selective-first staged joins and
-  * dynamic time-bound tightening — instead of handing one big multi-join SQL
-  * to the default scheduler. Spatial (per-host) parallelism is Spark's own:
-  * a multi-host query is one plan over the union of per-host pins (see
-  * [[BaseLoader]]), scanned one task per partition.
+  * one data query per event pattern, most-selective-first staged joins, and
+  * broadcast probing with whichever side the statistics say is small —
+  * instead of handing one big multi-join SQL to the default scheduler.
+  * Spatial (per-host) parallelism is Spark's own: a multi-host query is one
+  * plan over the union of per-host pins (see [[BaseLoader]]), scanned one
+  * task per partition.
   *
   * Result columns follow the `return` clause (shortcut aliases applied), so
   * results are directly comparable with the synthesized equivalent SQL.
@@ -101,19 +93,6 @@ final class MultiEventEngine(loader: BaseLoader, conf: AiqlConf) {
 
   // ------------------------------------------------------------ execution
 
-  /** Scan-time ts bounds (exclusive low / high) for one pattern, or None
-    * when the bound state is already known empty.
-    */
-  private final case class TsBounds(lo: Option[Long], hi: Option[Long]) {
-    def pred(tsCol: Column): Column = {
-      var c = lit(true)
-      lo.foreach(v => c = c && tsCol > v)
-      hi.foreach(v => c = c && tsCol < v)
-      c
-    }
-    def isUnbounded: Boolean = lo.isEmpty && hi.isEmpty
-  }
-
   private def executeSingle(q: MultiEventQuery): DataFrame = {
     val (base, footRows) = loader.baseEventsWithSize(q.globals)
     val n = q.events.size
@@ -148,7 +127,7 @@ final class MultiEventEngine(loader: BaseLoader, conf: AiqlConf) {
     // also materializes the relevant-set cache) — the engine's analog of
     // consulting DB stats. Skipped when they cannot influence anything.
     val wantStats = conf.exactSelectivity && n > 1 && !smallFoot &&
-      (conf.selectivityOrdering || conf.timeBoundPushdown || conf.broadcastThreshold >= 0)
+      (conf.selectivityOrdering || conf.broadcastThreshold >= 0)
     val counts: Array[Long] =
       if (!wantStats) Array.fill(n)(-1L)
       else {
@@ -166,7 +145,7 @@ final class MultiEventEngine(loader: BaseLoader, conf: AiqlConf) {
 
     var state: DataFrame = null
     var stateEst: Long = -1L // running size upper-bound estimate of `state`
-    var knownEmpty = counts.contains(0L)
+    val knownEmpty = counts.contains(0L) // a pattern with no rows empties the join
     val bound = scala.collection.mutable.LinkedHashSet[String]()
     val boundVars = scala.collection.mutable.Map[String, (String, String, String)]()
     val remaining = scala.collection.mutable.ArrayBuffer(order: _*)
@@ -180,20 +159,7 @@ final class MultiEventEngine(loader: BaseLoader, conf: AiqlConf) {
       }
       val i = remaining.remove(pickPos)
       val e = q.events(i)
-
-      // stats-gated dynamic tightening: worth an extra aggregation job only
-      // when the pattern to be scanned is large AND the intermediate state
-      // is not already small enough to broadcast (a broadcast probe makes
-      // the join cheap regardless of the streamed side's size)
-      val stateBroadcastable = conf.broadcastThreshold >= 0 &&
-        ((stateEst >= 0 && stateEst <= conf.broadcastThreshold) || smallFoot)
-      val wantBounds = conf.timeBoundPushdown && state != null && !knownEmpty &&
-        !stateBroadcastable && (counts(i) < 0 || counts(i) > conf.pushdownThreshold)
-      val bounds: TsBounds =
-        if (!wantBounds) TsBounds(None, None)
-        else timeBounds(q, e.alias, bound, state).getOrElse { knownEmpty = true; TsBounds(None, None) }
-
-      val df = prefixed(i, if (knownEmpty) lit(false) else bounds.pred(col("ts")))
+      val df = prefixed(i, lit(!knownEmpty))
 
       if (state == null) { state = df; stateEst = counts(i) }
       else {
@@ -304,29 +270,6 @@ final class MultiEventEngine(loader: BaseLoader, conf: AiqlConf) {
       }
     }
     cond
-  }
-
-  /** Dynamic ts bounds for the pattern about to be joined: if `l before new`
-    * for a bound `l`, matching rows need `ts > min(l.ts over candidates)`;
-    * symmetrically for upper bounds. None ⇒ the state has no rows.
-    */
-  private def timeBounds(q: MultiEventQuery, alias: String,
-                         bound: collection.Set[String], state: DataFrame): Option[TsBounds] = {
-    val lows = q.temps.collect {
-      case TempRel(l, "before", r) if r == alias && bound(l) => l
-      case TempRel(l, "after", r)  if l == alias && bound(r) => r
-    }.distinct
-    val highs = q.temps.collect {
-      case TempRel(l, "before", r) if l == alias && bound(r) => r
-      case TempRel(l, "after", r)  if r == alias && bound(l) => l
-    }.distinct
-    if (lows.isEmpty && highs.isEmpty) return Some(TsBounds(None, None))
-    val aggs = lows.map(l => min(col(s"${l}__ts"))) ++ highs.map(h => max(col(s"${h}__ts")))
-    val row = state.agg(aggs.head, aggs.tail: _*).collect()(0)
-    if (row.anyNull) return None
-    val lo = if (lows.nonEmpty) Some(lows.indices.map(row.getLong).min) else None
-    val hi = if (highs.nonEmpty) Some(highs.indices.map(k => row.getLong(lows.size + k)).max) else None
-    Some(TsBounds(lo, hi))
   }
 
   // ----------------------------------------------------------- projection

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.time.format.DateTimeParseException
+
 import Ast._
 import Lexer._
 
@@ -61,22 +63,22 @@ object Parser {
           i += 1
           if (cur.isIdent("at")) {
             i += 1
-            val d = str(); expectPunct(")")
+            val d = time(); expectPunct(")")
             out += TimeAt(d)
           } else {
-            expectIdent("from"); val f = str()
-            expectIdent("to");   val t = str()
+            expectIdent("from"); val f = time()
+            expectIdent("to");   val t = time()
             expectPunct(")")
             out += TimeFromTo(f, t)
           }
         } else if (cur.isIdent("agentid")) {
           i += 1
-          if (cur.is("=")) { i += 1; out += AgentIn(Seq(num().toInt)) }
+          if (cur.is("=")) { i += 1; out += AgentIn(Seq(int())) }
           else if (cur.isIdent("in")) {
             i += 1; expectPunct("(")
             val ids = Seq.newBuilder[Int]
-            ids += num().toInt
-            while (cur.is(",")) { i += 1; ids += num().toInt }
+            ids += int()
+            while (cur.is(",")) { i += 1; ids += int() }
             expectPunct(")")
             out += AgentIn(ids.result())
           } else fail("expected '=' or 'in' after agentid")
@@ -89,6 +91,17 @@ object Parser {
       if (cur.kind == TStr) advance().text else fail("expected string literal")
     private def num(): Double =
       if (cur.kind == TNum) advance().text.toDouble else fail("expected number")
+    private def int(): Int = cur.text.toIntOption match {
+      case Some(n) if cur.kind == TNum => i += 1; n
+      case _                           => fail("expected integer")
+    }
+    /** A global time literal, checked here so a bad date fails at its offset. */
+    private def time(): String = {
+      if (cur.kind == TStr)
+        try Times.parseMs(cur.text)
+        catch { case _: DateTimeParseException => fail("invalid time literal (expected MM/dd/yyyy[ HH:mm:ss])") }
+      str()
+    }
 
     // ------------------------------------------------------------- entry
 
@@ -295,7 +308,7 @@ object Parser {
           AttrRef(name, ident().toLowerCase)
         } else if (cur.is("[") && toks(i + 1).kind == TNum && toks(i + 2).is("]")) {
           i += 1
-          val k = num().toInt
+          val k = int()
           expectPunct("]")
           HistRef(name, k)
         } else inFilter match {

@@ -50,6 +50,26 @@ class InvestigationSpec extends SparkSpec {
     assert(m("sbblv.exe") == AttackFacts.burstAmount)
   }
 
+  test("temporal relations start no Spark jobs of their own") {
+    // without measured counts every leg is shuffle-joined; a `before` chain
+    // adds join conditions to those joins and nothing else (a plan that
+    // matches an earlier test's cached result may start fewer)
+    def jobs(q: Ast.MultiEventQuery): Int = {
+      val a = new Aiql(spark, InMemory(events), AiqlConf(exactSelectivity = false))
+      try TestUtil.sparkJobs(spark)(a.execute(q).collect()) finally a.close()
+    }
+    for (name <- Seq("q04", "q08")) {
+      val q = Parser.parse(InvestigationQueries.byName(name).aiql) match {
+        case m: Ast.MultiEventQuery => m
+        case d: Ast.DependencyQuery => DependencyCompiler.compile(d)
+        case other                  => fail(s"$name is not multievent: $other")
+      }
+      assert(q.temps.size == 3, name)
+      val (withTemps, without) = (jobs(q), jobs(q.copy(temps = Nil)))
+      assert(withTemps <= without, s"$name: $withTemps jobs with temporal relations, $without without")
+    }
+  }
+
   test("q19 sees the attacker IP from three staged hosts") {
     val res = aiql.query(InvestigationQueries.byName("q19").aiql)
     val agents = res.select("evt_agentid").distinct().collect().map(_.getInt(0)).toSet

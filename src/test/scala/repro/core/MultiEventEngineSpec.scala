@@ -205,9 +205,7 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
     "full" -> AiqlConf(),
     "declared-order" -> AiqlConf(selectivityOrdering = false),
     "heuristic-selectivity" -> AiqlConf(exactSelectivity = false),
-    "no-pushdown" -> AiqlConf(timeBoundPushdown = false),
-    "all-off" -> AiqlConf(selectivityOrdering = false, exactSelectivity = false,
-                          timeBoundPushdown = false),
+    "all-off" -> AiqlConf(selectivityOrdering = false, exactSelectivity = false),
   )
 
   private val crossCheckQueries = Seq(

@@ -230,6 +230,34 @@ class ParserSpec extends AnyFunSuite {
     assertThrows[ParseError](Parser.parse("proc p[\"%x\" read file f as evt\nreturn p"))
   }
 
+  // malformed globals fail at the literal's offset, not later at execution
+  private def errorAt(src: String, literal: String): Unit = {
+    val e = intercept[ParseError](Parser.parse(src))
+    assert(e.pos == src.indexOf(literal), e.getMessage)
+  }
+  private val body = "\nproc p read file f as evt\nreturn p"
+
+  test("error: out-of-range date in a time literal") {
+    errorAt("(at \"13/45/2023\")" + body, "\"13/45/2023\"")
+  }
+
+  test("error: impossible day-of-month is rejected, not clamped") {
+    errorAt("(from \"02/01/2023\" to \"02/30/2023\")" + body, "\"02/30/2023\"")
+  }
+
+  test("error: non-integral agent id") {
+    errorAt("agentid = 1.5" + body, "1.5")
+  }
+
+  test("error: non-integral history offset") {
+    errorAt(
+      """window = 1 min, step = 10 sec
+        |proc p write ip i as evt
+        |return p, avg(evt.amount) as amt
+        |group by p
+        |having amt > amt[1.5]""".stripMargin, "1.5")
+  }
+
   test("all twenty investigation queries parse") {
     import repro.attack.InvestigationQueries
     for (q <- InvestigationQueries.all) {
