@@ -29,9 +29,9 @@ class Table1PerfBench extends SparkSpec {
     val aiql = new Aiql(spark, StorePath(s"$dir/store"))
     val baseline = new NaiveSqlBaseline(spark, EventStore.readFlat(spark, s"$dir/flat"))
     // Warm both systems identically before timing — one query per staged
-    // host, so JIT/codegen, file listings, OS page cache, and the store's
-    // per-host hot partitions are in their deployed steady state (the
-    // paper measures a live long-running deployment, not cold starts).
+    // host, so JIT/codegen, file listings and footer row counts, and the OS
+    // page cache are in their deployed steady state (the paper measures a
+    // live long-running deployment, not cold starts).
     for (qn <- Seq("q01", "q06", "q09", "q13")) {
       aiql.query(InvestigationQueries.byName(qn).aiql).collect()
       baseline.execute(InvestigationQueries.byName(qn).aiql).collect()

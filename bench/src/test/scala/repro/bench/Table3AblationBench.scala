@@ -56,7 +56,7 @@ class Table3AblationBench extends SparkSpec {
         f"$ms%10d"
       }
       println(f"$name%-14s${cells.mkString}$total%10d")
-      aiql.close() // drop this config's hot-partition cache before the next arm
+      aiql.close() // drop this config's relevant-set caches before the next arm
     }
   }
 }

@@ -6,7 +6,8 @@ import Ast._
 
 /** Facade of the AIQL system (Figure 1): parse an AIQL query, route it to
   * the right engine, and return the matched results as a DataFrame. Both
-  * engines read through one [[BaseLoader]], so they share its host pins.
+  * engines read through one [[BaseLoader]], so they share its footprint
+  * listings and row counts.
   */
 final class Aiql(
     spark: SparkSession,
@@ -28,6 +29,6 @@ final class Aiql(
     case a: AnomalyQuery    => anomaly.execute(a)
   }
 
-  /** Release the engines' relevant-set caches and the loader's pins. */
-  def close(): Unit = { multi.close(); loader.close() }
+  /** Release the multievent engine's relevant-set caches. */
+  def close(): Unit = multi.close()
 }

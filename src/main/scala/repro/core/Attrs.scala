@@ -111,13 +111,15 @@ object Times {
   }
 
   /** Days (yyyy-MM-dd strings) covered by the window — the temporal
-    * partition values to prune to.
+    * partition values to prune to. An empty window (`endMs <= startMs`)
+    * covers no day.
     */
   def daysOf(startMs: Long, endMs: Long): Seq[String] = {
     val day = repro.events.EventSchema.DayMillis
     val first = math.floorDiv(startMs, day)
-    val last  = math.floorDiv(math.max(startMs, endMs - 1), day)
-    (first to last).map { d =>
+    val last  = math.floorDiv(endMs - 1, day)
+    if (endMs <= startMs) Nil
+    else (first to last).map { d =>
       java.time.Instant.ofEpochMilli(d * day).atZone(ZoneOffset.UTC).toLocalDate.toString
     }
   }

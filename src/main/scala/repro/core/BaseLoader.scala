@@ -12,28 +12,22 @@ final case class StorePath(path: String) extends EventSource
 final case class InMemory(df: DataFrame) extends EventSource
 
 /** Loads the base events for a query's global constraints, with partition
-  * pruning and a hot-partition cache: the paper's store keeps the
-  * partitions under investigation in memory (in-memory indexes /
-  * hypertable); here the pruned base of each host's (agent, days) footprint
-  * is pinned on first use and reused by the statistics pass, every pattern
-  * scan, and later queries over the same host-days. A multi-host footprint
-  * is the union of its hosts' pins, so it shares them instead of pinning a
-  * second copy (Spark caches by plan; a cached union would be a new copy),
-  * and Spark scans the hosts in parallel, one task per pinned partition.
+  * pruning and footprint statistics. A host's footprint is the set of
+  * (agent, day) partitions its query reads; its row count comes from the
+  * Parquet footers of those files (the paper's engine likewise plans from
+  * the store's statistics, not from a first pass over the data), so sizing
+  * it starts no Spark job. Each host's pruned frame and row count are kept
+  * per (agent, days), so a later query over the same host-days skips the
+  * file listing; nothing is held in memory but that metadata. A multi-host
+  * footprint is the union of its hosts' frames, one plan that Spark scans
+  * one task per partition.
   *
-  * One loader serves every engine of an [[Aiql]] session. Release with
-  * [[close]].
+  * One loader serves every engine of an [[Aiql]] session.
   */
 final class BaseLoader(spark: SparkSession, source: EventSource, conf: AiqlConf = AiqlConf()) {
 
-  private val pins = scala.collection.concurrent.TrieMap[
+  private val footprints = scala.collection.concurrent.TrieMap[
     (Int, Option[Seq[String]]), (DataFrame, Long)]()
-
-  /** Unpersist every partition this loader pinned in memory. */
-  def close(): Unit = {
-    pins.values.foreach(_._1.unpersist())
-    pins.clear()
-  }
 
   def baseEvents(globals: Seq[Ast.Global]): DataFrame =
     baseEventsWithSize(globals)._1
@@ -41,11 +35,8 @@ final class BaseLoader(spark: SparkSession, source: EventSource, conf: AiqlConf 
   /** Base events for the globals plus, when known, the footprint's row
     * count. The residual global predicate is always applied on top of the
     * (possibly partition-pruned) scan. Only agent-bound footprints are
-    * pinned and counted — they are small, and their size is the engine's
-    * cheapest statistic (one count per host-days, amortized over every
-    * query investigating that host); a day-wide footprint is left to the
-    * vectorized Parquet scan, which outruns Spark's in-memory cache format
-    * on wide rows.
+    * counted; a day-wide query has no footprint size, so the engine plans it
+    * from its relevant set and per-pattern counts.
     */
   def baseEventsWithSize(globals: Seq[Ast.Global]): (DataFrame, Option[Long]) = {
     val (df, rows) = source match {
@@ -59,11 +50,9 @@ final class BaseLoader(spark: SparkSession, source: EventSource, conf: AiqlConf 
         agents match {
           case None => (EventStore.readPruned(spark, p, None, days), None)
           case Some(as) =>
-            val hostPins = as.map(a => pins.getOrElseUpdate((a, days), {
-              val c = EventStore.readPruned(spark, p, Some(Seq(a)), days).cache()
-              (c, c.count())
-            }))
-            (hostPins.map(_._1).reduce(_ union _), Some(hostPins.map(_._2).sum))
+            val hosts = as.map(a => footprints.getOrElseUpdate((a, days),
+              EventStore.readPrunedWithRows(spark, p, Some(Seq(a)), days)))
+            (hosts.map(_._1).reduce(_ union _), Some(hosts.map(_._2).sum))
         }
     }
     (df.filter(PatternCompiler.globalPred(globals)), rows)

@@ -35,8 +35,8 @@ final case class AiqlConf(
   * broadcast probing with whichever side the statistics say is small —
   * instead of handing one big multi-join SQL to the default scheduler.
   * Spatial (per-host) parallelism is Spark's own: a multi-host query is one
-  * plan over the union of per-host pins (see [[BaseLoader]]), scanned one
-  * task per partition.
+  * plan over the union of per-host footprints (see [[BaseLoader]]), scanned
+  * one task per partition.
   *
   * Result columns follow the `return` clause (shortcut aliases applied), so
   * results are directly comparable with the synthesized equivalent SQL.
@@ -72,7 +72,7 @@ final class MultiEventEngine(loader: BaseLoader, conf: AiqlConf) {
   // --------------------------------------------------------------- caches
 
   /** Per-query relevant-set caches, rotated so at most a handful stay
-    * pinned (a result DataFrame may be collected after the next query has
+    * cached (a result DataFrame may be collected after the next query has
     * begun — unpersisting merely degrades that to recompute).
     */
   private val relevantCaches = new java.util.ArrayDeque[DataFrame]()
@@ -84,7 +84,7 @@ final class MultiEventEngine(loader: BaseLoader, conf: AiqlConf) {
     df
   }
 
-  /** Release the relevant-set caches (the loader's pins are its owner's). */
+  /** Release the relevant-set caches, the only data this engine caches. */
   def close(): Unit = {
     relevantCaches.synchronized {
       while (!relevantCaches.isEmpty) relevantCaches.pollFirst().unpersist()
@@ -98,8 +98,8 @@ final class MultiEventEngine(loader: BaseLoader, conf: AiqlConf) {
     val n = q.events.size
     val preds = q.events.map(PatternCompiler.compile)
 
-    // Cost-based fast path: a footprint the store already measured as small
-    // (one pinned host-day or similar) needs no per-pattern statistics —
+    // Cost-based fast path: a footprint whose Parquet footers say it is
+    // small (one host-day or similar) needs no per-pattern statistics —
     // every leg is bounded by the footprint, so everything can be broadcast
     // and ordered heuristically, and the whole query runs as one action.
     val smallFoot = conf.exactSelectivity && conf.broadcastThreshold >= 0 &&
@@ -109,7 +109,8 @@ final class MultiEventEngine(loader: BaseLoader, conf: AiqlConf) {
     // rows matching SOME pattern, projected to the columns the query can
     // touch; the statistics aggregation and every join leg then read this
     // much smaller cached set instead of re-scanning the base per pattern.
-    // (With a small pinned footprint the base itself is the in-memory set.)
+    // (A small footprint skips the cache: each leg scans its few files
+    // within the query's one action.)
     val cols = usedColumns(q)
     val relevant =
       if (n <= 1 || smallFoot) base.select(cols.map(col): _*)

@@ -1,5 +1,8 @@
 package repro.events
 
+import org.apache.hadoop.fs.Path
+import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.util.HadoopInputFile
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -89,6 +92,21 @@ object EventStore {
         }
         readDirs(spark, byDay(path), dayDirs)
     }
+
+  /** [[readPruned]] plus the exact row count of the files it scans, summed
+    * from their Parquet footers: the store's own statistic, read without
+    * starting a Spark job.
+    */
+  def readPrunedWithRows(spark: SparkSession, path: String, agents: Option[Seq[Int]],
+                         days: Option[Seq[String]]): (DataFrame, Long) = {
+    val df = readPruned(spark, path, agents, days)
+    val conf = spark.sparkContext.hadoopConfiguration
+    val rows = df.inputFiles.map { f =>
+      val reader = ParquetFileReader.open(HadoopInputFile.fromPath(new Path(f), conf))
+      try reader.getRecordCount finally reader.close()
+    }.sum
+    (df, rows)
+  }
 
   private def subdirs(path: String, prefix: String): Seq[java.nio.file.Path] = {
     import scala.jdk.CollectionConverters._

@@ -136,6 +136,14 @@ class TimesSpec extends AnyFunSuite {
     assert(Times.daysOf(s + 1000, s + 86400000L) == Seq("2023-08-01"))
   }
 
+  test("daysOf of an empty window is empty") {
+    val s = Times.parseMs("08/02/2023")
+    assert(Times.daysOf(s, s).isEmpty)
+    assert(Times.daysOf(s, Times.parseMs("08/01/2023")).isEmpty)
+    val (t0, t1) = Times.window(Seq(TimeAt("08/01/2023"), TimeAt("08/02/2023"))).get
+    assert(Times.daysOf(t0, t1).isEmpty)
+  }
+
   test("daysOf multi-day range") {
     val s = Times.parseMs("08/01/2023")
     assert(Times.daysOf(s, s + 3 * 86400000L) ==
